@@ -1,6 +1,6 @@
 module Digraph = Stateless_graph.Digraph
 module Protocol = Stateless_core.Protocol
-module Engine = Stateless_core.Engine
+module Label = Stateless_core.Label
 
 type t = {
   n : int;
@@ -155,89 +155,66 @@ let ring g =
 (* Equivariance check                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let nodes_of_mask n mask =
-  let rec loop i acc =
-    if i < 0 then acc
-    else if mask land (1 lsl i) <> 0 then loop (i - 1) (i :: acc)
-    else loop (i - 1) acc
+(* Calls [f digits] on every tuple of length [d] over [card] labels, in
+   code order (last position fastest). *)
+let iter_tuples ~card d f =
+  let digits = Array.make d 0 in
+  let rec count acc k =
+    if k = 0 then acc
+    else if acc > max_int / card then
+      invalid_arg "Symmetry.verify: in-label tuples of a node overflow int"
+    else count (acc * card) (k - 1)
   in
-  loop (n - 1) []
+  for _ = 1 to count 1 d do
+    f digits;
+    let k = ref (d - 1) in
+    while !k >= 0 && digits.(!k) = card - 1 do
+      digits.(!k) <- 0;
+      decr k
+    done;
+    if !k >= 0 then digits.(!k) <- digits.(!k) + 1
+  done
 
+(* A step applies each active node's reaction to the old labeling, so
+   "step then permute = permute then step" holds on every labeling and
+   activation set iff it holds for every single node on every tuple of its
+   in-labels (each tuple occurs in some labeling: in-edges are distinct). *)
 let verify p ~input t =
   if Protocol.num_nodes p <> t.n || Protocol.num_edges p <> t.m then
     invalid_arg "Symmetry.verify: protocol graph shape does not match group";
-  match Protocol.labelings_count p with
-  | None -> invalid_arg "Symmetry.verify: label space too large to sample"
-  | Some lab_count ->
-      let g = p.Protocol.graph in
-      let n = t.n in
-      let pow2n = if n < 30 then 1 lsl n else max_int in
-      let exhaustive = lab_count <= 4096 && n <= 6 in
-      let lab_codes =
-        if exhaustive then List.init lab_count Fun.id
-        else
-          (* Deterministic multiplicative stride spreads samples over the
-             code space; always include the extremes. *)
-          0 :: (lab_count - 1)
-          :: List.init 62 (fun k ->
-                 (k + 1) * 2654435761 land max_int mod lab_count)
-      in
-      let masks =
-        if pow2n <= 64 then List.init (pow2n - 1) (fun m -> m + 1)
-        else
-          (pow2n - 1)
-          :: List.init 63 (fun k ->
-                 1 + ((k + 1) * 40503 land max_int mod (pow2n - 1)))
-      in
-      let permute_labels ep labels =
-        let out = Array.copy labels in
-        Array.iteri (fun e l -> out.(ep.(e)) <- l) labels;
-        out
-      in
-      let code_of labels =
-        Protocol.encode_config p { Protocol.labels; outputs = [||] }
-      in
-      let ok = ref true in
-      Array.iter
-        (fun np ->
-          match edge_perm_of g np with
-          | None -> ok := false
-          | Some ep ->
-              List.iter
-                (fun code ->
-                  if !ok then begin
-                    let conf = Protocol.decode_config p code in
-                    let pconf =
-                      {
-                        conf with
-                        Protocol.labels = permute_labels ep conf.Protocol.labels;
-                      }
-                    in
-                    List.iter
-                      (fun mask ->
-                        if !ok then begin
-                          let active = nodes_of_mask n mask in
-                          let pactive = List.map (fun i -> np.(i)) active in
-                          let next = Engine.step p ~input conf ~active in
-                          let pnext =
-                            Engine.step p ~input pconf ~active:pactive
-                          in
-                          (* step then permute = permute then step *)
-                          if
-                            code_of (permute_labels ep next.Protocol.labels)
-                            <> code_of pnext.Protocol.labels
-                          then ok := false;
-                          List.iter
-                            (fun i ->
-                              let _, y = Protocol.apply p ~input conf i in
-                              let _, y' =
-                                Protocol.apply p ~input pconf np.(i)
-                              in
-                              if y <> y' then ok := false)
-                            active
-                        end)
-                      masks
-                  end)
-                lab_codes)
-        t.gens;
-      !ok
+  let g = p.Protocol.graph and space = p.Protocol.space in
+  (* [in_pos.(e)]: position of [e] among its head's in-edges;
+     [out_pos.(e)]: among its tail's out-edges. *)
+  let in_pos = Array.make t.m 0 and out_pos = Array.make t.m 0 in
+  for i = 0 to t.n - 1 do
+    Array.iteri (fun k e -> in_pos.(e) <- k) (Digraph.in_edges g i);
+    Array.iteri (fun k e -> out_pos.(e) <- k) (Digraph.out_edges g i)
+  done;
+  let equivariant_at np ep i =
+    let ins = Digraph.in_edges g i and outs = Digraph.out_edges g i in
+    let j = np.(i) in
+    let ok = ref true in
+    iter_tuples ~card:space.Label.card (Array.length ins) (fun digits ->
+        if !ok then begin
+          let incoming = Array.map space.Label.decode digits in
+          let moved = Array.copy incoming in
+          Array.iteri (fun k e -> moved.(in_pos.(ep.(e))) <- incoming.(k)) ins;
+          let out, y = p.Protocol.react i input.(i) incoming in
+          let out', y' = p.Protocol.react j input.(j) moved in
+          if y <> y' then ok := false;
+          Array.iteri
+            (fun k e ->
+              if
+                space.Label.encode out.(k)
+                <> space.Label.encode out'.(out_pos.(ep.(e)))
+              then ok := false)
+            outs
+        end);
+    !ok
+  in
+  Array.for_all
+    (fun np ->
+      match edge_perm_of g np with
+      | None -> false
+      | Some ep -> Array.for_all (equivariant_at np ep) (Array.init t.n Fun.id))
+    t.gens

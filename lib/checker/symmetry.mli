@@ -57,12 +57,19 @@ val ring : Stateless_graph.Digraph.t -> t
 val of_node_perms : Stateless_graph.Digraph.t -> int array list -> t
 
 (** [verify p ~input t] checks protocol equivariance under the group's
-    {!generators}: for sampled labelings and activation sets (exhaustive
-    when the label space is small), stepping then permuting equals
-    permuting then stepping with the permuted activation set, and node
-    outputs match at permuted positions. A [false] result proves the
-    protocol is not equivariant; [true] is exhaustive evidence for label
-    spaces of at most 4096 labelings on at most 6 nodes, and sampled
-    evidence beyond.
-    @raise Invalid_argument when the graph shape does not match [t]. *)
+    {!generators}, node by node: for every generator [π] (with edge
+    permutation [σ]), node [i] and tuple of labels on [i]'s in-edges,
+    node [π i]'s reaction, given the tuple moved along [σ] and its own
+    input, returns [i]'s out-labels moved along [σ] and the same output.
+    A step applies each active node's reaction to the old labeling, so
+    this is equivalent to "stepping then permuting equals permuting then
+    stepping with the permuted activation set, with outputs matching at
+    permuted positions" on every labeling and activation set. It checks
+    every tuple, at a cost of [|Σ|^indeg(i)] pairs of reactions per
+    generator and node, so [true] proves the protocol equivariant and
+    [false] proves it is not. Since [indeg(i) <= m], that is at most
+    [n |Σ|^m] pairs per generator; {!Checker} bounds [|Σ|^m] by
+    [max_states] before calling it.
+    @raise Invalid_argument when the graph shape does not match [t], or
+    when a node's in-label tuples are too many to count in an [int]. *)
 val verify : ('x, 'l) Stateless_core.Protocol.t -> input:'x array -> t -> bool

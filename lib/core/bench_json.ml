@@ -8,13 +8,34 @@ let git_rev () =
     | _ -> "unknown"
   with _ -> "unknown"
 
+(* Whether tracked files differ from HEAD. The whole output is read, so
+   git never dies of a closed pipe. *)
+let git_dirty () =
+  try
+    let ic =
+      Unix.open_process_in
+        "git status --porcelain --untracked-files=no 2>/dev/null"
+    in
+    let rec drain acc =
+      match input_line ic with
+      | _ -> drain true
+      | exception End_of_file -> acc
+    in
+    let changed = drain false in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> changed
+    | _ -> false
+  with _ -> false
+
 let host ~domains () =
+  let rev = git_rev () in
+  let rev = if rev <> "unknown" && git_dirty () then rev ^ "+dirty" else rev in
   Printf.sprintf
     "{ \"ocaml\": %S, \"recommended_domains\": %d, \"domains\": %d, \
      \"git_rev\": %S }"
     Sys.ocaml_version
     (Domain.recommended_domain_count ())
-    domains (git_rev ())
+    domains rev
 
 (* Peak resident set from /proc/self/status (Linux); -1 when unreadable.
    VmHWM is monotone over the process lifetime, so benchmark legs that

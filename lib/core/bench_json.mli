@@ -13,7 +13,9 @@ val git_rev : unit -> string
 
 (** Provenance block shared by every [BENCH_*.json]: OCaml version,
     [Domain.recommended_domain_count], the domain count used, and
-    {!git_rev}. Returned as a JSON object string. *)
+    {!git_rev}, suffixed ["+dirty"] when tracked files differ from that
+    revision (the numbers then come from uncommitted code). Returned as a
+    JSON object string. *)
 val host : domains:int -> unit -> string
 
 (** Peak resident set size of this process in kB, from Linux's

@@ -485,19 +485,54 @@ let test_domains_deterministic () =
 module Symmetry = Stateless_checker.Symmetry
 module Stateset = Stateless_checker.Stateset
 
+(* A fixture: name, protocol, input, group and the values of r to run. *)
+type sym_case =
+  | Sym_case :
+      string
+      * ('x, 'l) Protocol.t
+      * 'x array
+      * [ `Clique | `Ring | `Rotations of int ]
+      * int list
+      -> sym_case
+
+(* The copy ring of the certify benchmark (13 labels there) over [card]
+   labels: each node copies its in-label and outputs it. *)
+let copy_ring_int ~card n : (unit, int) Protocol.t =
+  {
+    Protocol.name = Printf.sprintf "copy-ring-uni-c%d" card;
+    graph = Builders.ring_uni n;
+    space = Label.int card;
+    react = (fun _ () incoming -> ([| incoming.(0) |], incoming.(0)));
+  }
+
+let r123 = [ 1; 2; 3 ]
+
 let sym_cases =
   [
-    ("clique3", Clique_example.make 3, Clique_example.input 3, `Clique);
-    ("clique4", Clique_example.make 4, Clique_example.input 4, `Clique);
-    ("copy-ring-uni-4", copy_ring_uni 4, unit_input 4, `Ring);
-    ("copy-ring-uni-5", copy_ring_uni 5, unit_input 5, `Ring);
+    Sym_case
+      ("clique3", Clique_example.make 3, Clique_example.input 3, `Clique, r123);
+    Sym_case
+      ("clique4", Clique_example.make 4, Clique_example.input 4, `Clique, r123);
+    Sym_case ("copy-ring-uni-4", copy_ring_uni 4, unit_input 4, `Ring, r123);
+    Sym_case ("copy-ring-uni-5", copy_ring_uni 5, unit_input 5, `Ring, r123);
     (* [copy_ring_bi] copies from a direction-specific neighbor, so it is
        rotation- but not reflection-equivariant: on the bidirectional ring
        the full [Symmetry.ring] dihedral group is too big, and the
        rotations-only subgroup must be given explicitly. *)
-    ("copy-ring-bi-3", copy_ring_bi 3, unit_input 3, `Rotations 3);
-    ("rotor-loud-3", rotor_loud 3, unit_input 3, `Ring);
-    ("constant-ring-3", constant_ring 3, unit_input 3, `Ring);
+    Sym_case
+      ("copy-ring-bi-3", copy_ring_bi 3, unit_input 3, `Rotations 3, r123);
+    Sym_case ("rotor-loud-3", rotor_loud 3, unit_input 3, `Ring, r123);
+    Sym_case ("constant-ring-3", constant_ring 3, unit_input 3, `Ring, r123);
+    (* Label radix 13, on 3 nodes so the unreduced explorer stays fast. *)
+    Sym_case
+      ("copy-ring-uni-3-c13", copy_ring_int ~card:13 3, unit_input 3, `Ring,
+        r123);
+    (* 17 labels and r = 7 split a state key into five table chunks (one
+       per label digit, two of countdown digits), so canonicalization also
+       loops over the chunks past its four fixed lookups. *)
+    Sym_case
+      ("copy-ring-uni-3-c17", copy_ring_int ~card:17 3, unit_input 3, `Ring,
+        [ 7 ]);
   ]
 
 let group_of kind g =
@@ -539,7 +574,7 @@ let test_symmetry_of_node_perms () =
    reachable count. *)
 let test_symmetry_differential () =
   List.iter
-    (fun (name, p, input, kind) ->
+    (fun (Sym_case (name, p, input, kind, rs)) ->
       let sym = group_of kind p.Protocol.graph in
       check_bool (name ^ " equivariant") true (Symmetry.verify p ~input sym);
       List.iter
@@ -565,7 +600,7 @@ let test_symmetry_differential () =
             pstats.Checker.states rstats.Checker.full_states;
           check_bool (ctx "quotient is no larger") true
             (rstats.Checker.states <= pstats.Checker.states))
-        [ 1; 2; 3 ])
+        rs)
     sym_cases
 
 let test_symmetry_max_r () =
@@ -591,7 +626,24 @@ let test_symmetry_domains_deterministic () =
       check_bool
         (Printf.sprintf "sym domains=%d bit-identical" domains)
         true (seq = par))
-    [ 2; 3; 8 ]
+    [ 2; 3; 8 ];
+  (* Every fixture at each of its r: parallel expansion canonicalizes with
+     one scratch per domain. *)
+  List.iter
+    (fun (Sym_case (name, p, input, kind, rs)) ->
+      let symmetry = group_of kind p.Protocol.graph in
+      List.iter
+        (fun r ->
+          let run domains =
+            Checker.check_label ~domains ~symmetry p ~input ~r
+              ~max_states:budget
+          in
+          check_bool
+            (Printf.sprintf "%s r=%d sym domains=2 bit-identical" name r)
+            true
+            (run 1 = run 2))
+        rs)
+    sym_cases
 
 let test_symmetry_rejects_asymmetric () =
   (* Node 0 behaves differently, so the rotation group does not commute
@@ -611,6 +663,48 @@ let test_symmetry_rejects_asymmetric () =
       (Checker.check_label ~symmetry:sym p ~input:(unit_input 4) ~r:1
          ~max_states:budget);
     Alcotest.fail "asymmetric protocol accepted"
+  with Invalid_argument _ -> ()
+
+let test_symmetry_rejects_rare_asymmetry () =
+  (* Every node sends and outputs the max of its in-labels, except that
+     node 0 adds 1 (mod the label count) on one tuple of in-labels. Almost
+     no labeling shows the asymmetry, so sampling labelings and activation
+     sets misses it; checking every node on every in-label tuple does not. *)
+  let lopsided n card trigger : (unit, int) Protocol.t =
+    let g = Builders.clique n in
+    {
+      Protocol.name = "lopsided-clique";
+      graph = g;
+      space = Label.int card;
+      react =
+        (fun i () incoming ->
+          let v = Array.fold_left max 0 incoming in
+          let v = if i = 0 && incoming = trigger then (v + 1) mod card else v in
+          (Array.make (Stateless_graph.Digraph.out_degree g i) v, v));
+    }
+  in
+  let verify n card trigger =
+    let p = lopsided n card trigger in
+    Symmetry.verify p ~input:(unit_input n) (Symmetry.clique p.Protocol.graph)
+  in
+  check_bool "max protocol accepted" true (verify 5 3 [||]);
+  (* 17^4 = 83521 in-label tuples per node, all of them checked. *)
+  check_bool "max protocol over 17 labels accepted" true (verify 5 17 [||]);
+  List.iter
+    (fun (n, card, trigger) ->
+      check_bool
+        (Printf.sprintf "K%d over %d labels refuted" n card)
+        false (verify n card trigger))
+    [
+      (5, 3, [| 2; 2; 2; 1 |]);
+      (5, 4, [| 3; 3; 3; 1 |]);
+      (7, 2, [| 0; 0; 1; 1; 0; 0 |]);
+      (5, 17, [| 9; 4; 9; 9 |]);
+    ];
+  (* (2^22)^4 in-label tuples per node do not fit in an int. *)
+  try
+    ignore (verify 5 (1 lsl 22) [||]);
+    Alcotest.fail "uncountable in-label tuples accepted"
   with Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -758,6 +852,8 @@ let () =
             test_symmetry_domains_deterministic;
           Alcotest.test_case "asymmetric protocol rejected" `Quick
             test_symmetry_rejects_asymmetric;
+          Alcotest.test_case "rare asymmetry rejected" `Quick
+            test_symmetry_rejects_rare_asymmetry;
         ] );
       ( "stateset",
         [
