@@ -12,13 +12,18 @@ let max_decode_table = 1 lsl 16
 (* Per-node sparse reaction memo: open-addressing (linear probing,
    power-of-two capacity) from the packed incoming code to a row index in
    an append-only flat row store. A hit is two array reads — no polymorphic
-   hashing, no bucket chasing, no allocation. *)
+   hashing, no bucket chasing, no allocation. Only memo-tier nodes own one;
+   it starts with room for [memo_first_rows] rows and doubles both its slots
+   and its row store as rows are added, so its size follows the number of
+   distinct incoming codes the node has actually seen. *)
 type memo = {
   mutable keys : int array; (* incoming codes; -1 = empty slot *)
   mutable slot : int array; (* row index, parallel to [keys] *)
   mutable rows : int array; (* [nrows * width] ints used *)
   mutable nrows : int;
 }
+
+let memo_first_rows = 1
 
 let memo_hash code =
   let h = code * 0x9E3779B1 in
@@ -64,13 +69,12 @@ let memo_add mm width code =
   mm.nrows <- mm.nrows + 1;
   base
 
-let empty_memo () = { keys = [||]; slot = [||]; rows = [||]; nrows = 0 }
-
+(* Load factor at most 1/2: [2 * memo_first_rows] slots. *)
 let fresh_memo width =
   {
-    keys = Array.make 64 (-1);
-    slot = Array.make 64 0;
-    rows = Array.make (16 * width) 0;
+    keys = Array.make (2 * memo_first_rows) (-1);
+    slot = Array.make (2 * memo_first_rows) 0;
+    rows = Array.make (memo_first_rows * width) 0;
     nrows = 0;
   }
 
@@ -87,24 +91,37 @@ type ('x, 'l) t = {
   out_off : int array;
   out_flat : int array;
   mode : int array;
-  (* mode_table: [rows * (out_degree + 1)] ints per node — out-edge codes
-     then the output — with a per-row fill flag; rows are computed on first
-     visit, so sparse trajectories never pay for the full table. *)
-  tables : int array array;
-  filled : Bytes.t array;
-  memo : memo array; (* mode_memo, bounded by [max_memo_entries] *)
+  (* mode_table: node [i] owns [rows * (out_degree + 1)] ints of [arena]
+     from [row_off.(i)] — per row the out-edge codes, then the output — and
+     [rows] fill flags of [filled] from [flag_off.(i)]. A row is computed on
+     its first visit, so a trajectory runs the reaction only for the codes
+     it meets. *)
+  arena : int array;
+  filled : Bytes.t;
+  row_off : int array;
+  flag_off : int array;
+  (* mode_memo, bounded by [max_memo_entries]; every other node points at
+     one shared empty record that is never probed. *)
+  memo : memo array;
   max_memo_entries : int;
-  (* Reused row for mode_raw and for memo overflow. *)
-  scratch_row : int array array;
-  in_scratch : 'l array array;
+  (* Shared scratch, indexed by size: [in_buf.(k)] receives the decoded
+     incoming labels of any node of in-degree [k], and [row_buf.(w)] the row
+     of any raw-tier (or memo-overflow) node of width [w]. Sharing is sound
+     because a reaction must not keep its [incoming] array (see
+     {!Protocol.t}) and a scratch row is consumed before the next
+     evaluation. *)
+  in_buf : 'l array array;
+  row_buf : int array array;
   dec_tbl : 'l array; (* [||] when the space is too large to tabulate *)
   bytes_per_label : int;
-  key_buf : Bytes.t;
+  (* Whole-configuration scratch, allocated on first use: the event-driven
+     simulator evaluates single nodes and never pays for it. *)
+  mutable key_buf : Bytes.t;
   mutable spare_labels : int array;
   mutable spare_outputs : int array;
   mutable hist : int array; (* outputs history scratch for [settle] *)
   (* Full-coverage active-set detection (see [covers_all]). *)
-  seen_stamp : int array;
+  mutable seen_stamp : int array;
   mutable stamp : int;
   mutable full_active : int list;
 }
@@ -128,6 +145,20 @@ let csr_of n degree edges_of =
   done;
   (off, flat)
 
+(* [by_size n size make] holds one [make k] per size [k >= 1] that some node
+   [i] has ([k = size i]), indexed by [k]; other entries are empty. *)
+let by_size n size make =
+  let biggest = ref 0 in
+  for i = 0 to n - 1 do
+    biggest := max !biggest (size i)
+  done;
+  let bufs = Array.make (!biggest + 1) [||] in
+  for i = 0 to n - 1 do
+    let k = size i in
+    if k > 0 && Array.length bufs.(k) = 0 then bufs.(k) <- make k
+  done;
+  bufs
+
 let create ?(max_table_words = default_max_table_words)
     ?(max_memo_entries = default_max_memo_entries) p ~input =
   let n = Protocol.num_nodes p in
@@ -148,19 +179,13 @@ let create ?(max_table_words = default_max_table_words)
     else [||]
   in
   let mode = Array.make n mode_raw in
-  let tables = Array.make n [||] in
-  let filled = Array.make n Bytes.empty in
-  let memo = Array.init n (fun _ -> empty_memo ()) in
-  let scratch_row = Array.make n [||] in
-  let in_scratch = Array.make n [||] in
-  let budget = ref max_table_words in
+  let row_off = Array.make n 0 and flag_off = Array.make n 0 in
+  let no_memo = { keys = [||]; slot = [||]; rows = [||]; nrows = 0 } in
+  let memo = Array.make n no_memo in
+  let words = ref 0 and rows_total = ref 0 in
   for i = 0 to n - 1 do
     let din = in_off.(i + 1) - in_off.(i) in
     let width = out_off.(i + 1) - out_off.(i) + 1 in
-    scratch_row.(i) <- Array.make width 0;
-    in_scratch.(i) <-
-      (if din = 0 then [||]
-       else Array.make din (p.Protocol.space.Label.decode 0));
     (* rows = card^din, [None] on int overflow. *)
     let rows =
       let rec go acc k =
@@ -171,16 +196,26 @@ let create ?(max_table_words = default_max_table_words)
       go 1 din
     in
     match rows with
-    | Some rows when rows <= !budget / width ->
+    | Some rows when rows <= (max_table_words - !words) / width ->
         mode.(i) <- mode_table;
-        tables.(i) <- Array.make (rows * width) 0;
-        filled.(i) <- Bytes.make rows '\000';
-        budget := !budget - (rows * width)
+        row_off.(i) <- !words;
+        flag_off.(i) <- !rows_total;
+        words := !words + (rows * width);
+        rows_total := !rows_total + rows
     | Some _ when max_memo_entries > 0 ->
         mode.(i) <- mode_memo;
         memo.(i) <- fresh_memo width
     | _ -> mode.(i) <- mode_raw
   done;
+  let in_buf =
+    by_size n
+      (fun i -> in_off.(i + 1) - in_off.(i))
+      (fun k -> Array.make k (p.Protocol.space.Label.decode 0))
+  in
+  let row_buf =
+    by_size n (fun i -> out_off.(i + 1) - out_off.(i) + 1) (fun k ->
+        Array.make k 0)
+  in
   let bytes_per_label =
     if card <= 0x100 then 1 else if card <= 0x10000 then 2 else 4
   in
@@ -195,29 +230,31 @@ let create ?(max_table_words = default_max_table_words)
     out_off;
     out_flat;
     mode;
-    tables;
-    filled;
+    arena = Array.make !words 0;
+    filled = Bytes.make !rows_total '\000';
+    row_off;
+    flag_off;
     memo;
     max_memo_entries;
-    scratch_row;
-    in_scratch;
+    in_buf;
+    row_buf;
     dec_tbl;
     bytes_per_label;
-    key_buf = Bytes.create (m * bytes_per_label);
-    spare_labels = Array.make m 0;
-    spare_outputs = Array.make n 0;
+    key_buf = Bytes.empty;
+    spare_labels = [||];
+    spare_outputs = [||];
     hist = [||];
-    seen_stamp = Array.make (max n 1) 0;
+    seen_stamp = [||];
     stamp = 0;
     full_active = [ -1 ];
   }
 
-(* Decode the incoming codes of node [i] from [src] into its reused label
-   scratch, run the reaction once, and encode the results into [row] at
-   [off] (out-edge codes, then the output). *)
+(* Decode the incoming codes of node [i] from [src] into the shared label
+   buffer of its in-degree, run the reaction once, and encode the results
+   into [row] at [off] (out-edge codes, then the output). *)
 let fill_row t i src row off =
   let lo = t.in_off.(i) and hi = t.in_off.(i + 1) in
-  let inc = t.in_scratch.(i) in
+  let inc = t.in_buf.(hi - lo) in
   for k = lo to hi - 1 do
     inc.(k - lo) <- decode_label t (Array.unsafe_get src t.in_flat.(k))
   done;
@@ -239,7 +276,7 @@ let fill_row t i src row off =
    into a temporary int array would defeat the layout. *)
 let fill_row_coded t i code row off =
   let din = t.in_off.(i + 1) - t.in_off.(i) in
-  let inc = t.in_scratch.(i) in
+  let inc = t.in_buf.(din) in
   let card = t.card in
   let c = ref code in
   for k = din - 1 downto 0 do
@@ -276,13 +313,13 @@ let eval t src i =
   let mode = Array.unsafe_get t.mode i in
   if mode = mode_table then begin
     let code = in_code t i src in
-    let base = code * (d + 1) in
-    let tbl = t.tables.(i) in
-    if Bytes.unsafe_get t.filled.(i) code = '\000' then begin
-      fill_row t i src tbl base;
-      Bytes.unsafe_set t.filled.(i) code '\001'
+    let base = t.row_off.(i) + (code * (d + 1)) in
+    let flag = t.flag_off.(i) + code in
+    if Bytes.unsafe_get t.filled flag = '\000' then begin
+      fill_row t i src t.arena base;
+      Bytes.unsafe_set t.filled flag '\001'
     end;
-    (tbl, base)
+    (t.arena, base)
   end
   else if mode = mode_memo then begin
     let code = in_code t i src in
@@ -296,13 +333,13 @@ let eval t src i =
       (mm.rows, base)
     end
     else begin
-      let row = t.scratch_row.(i) in
+      let row = t.row_buf.(d + 1) in
       fill_row t i src row 0;
       (row, 0)
     end
   end
   else begin
-    let row = t.scratch_row.(i) in
+    let row = t.row_buf.(d + 1) in
     fill_row t i src row 0;
     (row, 0)
   end
@@ -317,13 +354,13 @@ let eval_coded t i code =
   let d = t.out_off.(i + 1) - t.out_off.(i) in
   let mode = Array.unsafe_get t.mode i in
   if mode = mode_table then begin
-    let base = code * (d + 1) in
-    let tbl = t.tables.(i) in
-    if Bytes.unsafe_get t.filled.(i) code = '\000' then begin
-      fill_row_coded t i code tbl base;
-      Bytes.unsafe_set t.filled.(i) code '\001'
+    let base = t.row_off.(i) + (code * (d + 1)) in
+    let flag = t.flag_off.(i) + code in
+    if Bytes.unsafe_get t.filled flag = '\000' then begin
+      fill_row_coded t i code t.arena base;
+      Bytes.unsafe_set t.filled flag '\001'
     end;
-    (tbl, base)
+    (t.arena, base)
   end
   else if mode = mode_memo then begin
     let mm = t.memo.(i) in
@@ -336,13 +373,13 @@ let eval_coded t i code =
       (mm.rows, base)
     end
     else begin
-      let row = t.scratch_row.(i) in
+      let row = t.row_buf.(d + 1) in
       fill_row_coded t i code row 0;
       (row, 0)
     end
   end
   else begin
-    let row = t.scratch_row.(i) in
+    let row = t.row_buf.(d + 1) in
     fill_row_coded t i code row 0;
     (row, 0)
   end
@@ -359,19 +396,19 @@ let rec apply_active t src dst dst_outputs active =
       let oflat = t.out_flat in
       (if Array.unsafe_get t.mode i = mode_table then begin
          let code = in_code t i src in
-         let base = code * (d + 1) in
-         let tbl = Array.unsafe_get t.tables i in
-         let flags = Array.unsafe_get t.filled i in
-         if Bytes.unsafe_get flags code = '\000' then begin
-           fill_row t i src tbl base;
-           Bytes.unsafe_set flags code '\001'
+         let base = Array.unsafe_get t.row_off i + (code * (d + 1)) in
+         let flag = Array.unsafe_get t.flag_off i + code in
+         let arena = t.arena in
+         if Bytes.unsafe_get t.filled flag = '\000' then begin
+           fill_row t i src arena base;
+           Bytes.unsafe_set t.filled flag '\001'
          end;
          for k = 0 to d - 1 do
            Array.unsafe_set dst
              (Array.unsafe_get oflat (olo + k))
-             (Array.unsafe_get tbl (base + k))
+             (Array.unsafe_get arena (base + k))
          done;
-         Array.unsafe_set dst_outputs i (Array.unsafe_get tbl (base + d))
+         Array.unsafe_set dst_outputs i (Array.unsafe_get arena (base + d))
        end
        else if Array.unsafe_get t.mode i = mode_memo then begin
          let code = in_code t i src in
@@ -387,7 +424,7 @@ let rec apply_active t src dst dst_outputs active =
              (mm.rows, base)
            end
            else begin
-             let row = Array.unsafe_get t.scratch_row i in
+             let row = Array.unsafe_get t.row_buf (d + 1) in
              fill_row t i src row 0;
              (row, 0)
            end
@@ -400,7 +437,7 @@ let rec apply_active t src dst dst_outputs active =
          Array.unsafe_set dst_outputs i (Array.unsafe_get rows (base + d))
        end
        else begin
-         let row = Array.unsafe_get t.scratch_row i in
+         let row = Array.unsafe_get t.row_buf (d + 1) in
          fill_row t i src row 0;
          for k = 0 to d - 1 do
            Array.unsafe_set dst
@@ -418,6 +455,8 @@ let rec apply_active t src dst dst_outputs active =
    test a single pointer compare for schedules that reuse one list (e.g.
    {!Schedule.synchronous}). *)
 let covers_all t active =
+  if Array.length t.seen_stamp = 0 then
+    t.seen_stamp <- Array.make (max t.n 1) 0;
   t.stamp <- t.stamp + 1;
   let stamp = t.stamp in
   let seen = t.seen_stamp in
@@ -465,6 +504,10 @@ let step t config ~active =
 
 let run_into t ~labels ~outputs ~schedule ~steps =
   if steps > 0 then begin
+    if Array.length t.spare_outputs <> t.n then begin
+      t.spare_labels <- Array.make t.m 0;
+      t.spare_outputs <- Array.make t.n 0
+    end;
     let active = schedule.Schedule.active in
     let cur = ref labels and curo = ref outputs in
     let nxt = ref t.spare_labels and nxto = ref t.spare_outputs in
@@ -508,11 +551,16 @@ let is_stable_packed t src =
   in
   check 0
 
+let key_buf t =
+  if Bytes.length t.key_buf <> t.m * t.bytes_per_label then
+    t.key_buf <- Bytes.create (t.m * t.bytes_per_label);
+  t.key_buf
+
 (* Same packing as {!Protocol.config_key}: the labeling alone, little-endian
    per label. The Bytes buffer is reused; only the final string allocates. *)
 let key_of t labels =
   let bpl = t.bytes_per_label in
-  let buf = t.key_buf in
+  let buf = key_buf t in
   for e = 0 to t.m - 1 do
     let v = ref (Array.unsafe_get labels e) in
     for k = 0 to bpl - 1 do
@@ -724,49 +772,51 @@ let step_plane t ~stride ~live ~nlive ~src ~src_outputs ~dst ~dst_outputs
         let oflat = t.out_flat in
         let obase = i * stride in
         (if Array.unsafe_get t.mode i = mode_table then begin
-           let tbl = Array.unsafe_get t.tables i in
-           let flags = Array.unsafe_get t.filled i in
+           let arena = t.arena and filled = t.filled in
+           let roff = Array.unsafe_get t.row_off i in
+           let foff = Array.unsafe_get t.flag_off i in
+           let d1 = d + 1 in
            if dense then begin
              (* Pass 1: fault rows in and rebase codes to row offsets;
                 pass 2: scatter edge-outer so every plane write is
                 sequential in the instance index. *)
-             let d1 = d + 1 in
              for p = 0 to nlive - 1 do
                let code = Array.unsafe_get codes p in
-               if Bytes.unsafe_get flags code = '\000' then begin
-                 fill_row_coded t i code tbl (code * d1);
-                 Bytes.unsafe_set flags code '\001'
+               let base = roff + (code * d1) in
+               if Bytes.unsafe_get filled (foff + code) = '\000' then begin
+                 fill_row_coded t i code arena base;
+                 Bytes.unsafe_set filled (foff + code) '\001'
                end;
-               Array.unsafe_set codes p (code * d1)
+               Array.unsafe_set codes p base
              done;
              for k = 0 to d - 1 do
                let dbase = Array.unsafe_get oflat (olo + k) * stride in
                for p = 0 to nlive - 1 do
                  Bigarray.Array1.unsafe_set dst (dbase + p)
-                   (Array.unsafe_get tbl (Array.unsafe_get codes p + k))
+                   (Array.unsafe_get arena (Array.unsafe_get codes p + k))
                done
              done;
              for p = 0 to nlive - 1 do
                Bigarray.Array1.unsafe_set dst_outputs (obase + p)
-                 (Array.unsafe_get tbl (Array.unsafe_get codes p + d))
+                 (Array.unsafe_get arena (Array.unsafe_get codes p + d))
              done
            end
            else
              for p = 0 to nlive - 1 do
                let code = Array.unsafe_get codes p in
-               let base = code * (d + 1) in
-               if Bytes.unsafe_get flags code = '\000' then begin
-                 fill_row_coded t i code tbl base;
-                 Bytes.unsafe_set flags code '\001'
+               let base = roff + (code * d1) in
+               if Bytes.unsafe_get filled (foff + code) = '\000' then begin
+                 fill_row_coded t i code arena base;
+                 Bytes.unsafe_set filled (foff + code) '\001'
                end;
                let j = Array.unsafe_get live p in
                for k = 0 to d - 1 do
                  Bigarray.Array1.unsafe_set dst
                    ((Array.unsafe_get oflat (olo + k) * stride) + j)
-                   (Array.unsafe_get tbl (base + k))
+                   (Array.unsafe_get arena (base + k))
                done;
                Bigarray.Array1.unsafe_set dst_outputs (obase + j)
-                 (Array.unsafe_get tbl (base + d))
+                 (Array.unsafe_get arena (base + d))
              done
          end
          else if Array.unsafe_get t.mode i = mode_memo then begin
@@ -787,7 +837,7 @@ let step_plane t ~stride ~live ~nlive ~src ~src_outputs ~dst ~dst_outputs
                  (mm.rows, base)
                end
                else begin
-                 let row = Array.unsafe_get t.scratch_row i in
+                 let row = Array.unsafe_get t.row_buf (d + 1) in
                  fill_row_coded t i code row 0;
                  (row, 0)
                end
@@ -803,7 +853,7 @@ let step_plane t ~stride ~live ~nlive ~src ~src_outputs ~dst ~dst_outputs
            done
          end
          else begin
-           let row = Array.unsafe_get t.scratch_row i in
+           let row = Array.unsafe_get t.row_buf (d + 1) in
            for p = 0 to nlive - 1 do
              fill_row_coded t i (Array.unsafe_get codes p) row 0;
              let j = if dense then p else Array.unsafe_get live p in
@@ -856,7 +906,7 @@ let stable_in_plane t ~stride ~j ~src =
 (* [key_of] for one plane column — same byte packing, same reused buffer. *)
 let key_in_plane t ~stride ~j ~src =
   let bpl = t.bytes_per_label in
-  let buf = t.key_buf in
+  let buf = key_buf t in
   for e = 0 to t.m - 1 do
     let v =
       ref (Bigarray.Array1.unsafe_get src ((e * stride) + j))

@@ -13,13 +13,15 @@
     {!create} time:
 
     - {b direct table} — when [card^in_degree * (out_degree + 1)] fits the
-      word budget, the node's reaction is a lazily filled lookup table
-      indexed by the packed incoming-label code: a step is pure int loads;
+      word budget, the node's reaction is a lazily filled lookup table (a
+      slice of one flat arena) indexed by the packed incoming-label code: a
+      step is pure int loads;
     - {b sparse memo} — when the table would be too large but the packed
-      incoming code still fits an [int], rows are memoized in a hashtable
-      keyed by incoming code (bounded; protocols revisit few codes);
-    - {b raw} — otherwise the reaction function is invoked on a reused
-      scratch buffer each time (no table, still no per-step copies).
+      incoming code still fits an [int], rows are memoized in a small
+      per-node hash table keyed by incoming code that grows by doubling
+      (bounded; protocols revisit few codes);
+    - {b raw} — otherwise the reaction function is invoked on shared
+      scratch buffers each time (no table, still no per-step copies).
 
     All three strategies produce identical results; the differential suite
     in [test_kernel.ml] pins the kernel to {!Engine.step},
@@ -31,11 +33,32 @@
 
 type ('x, 'l) t
 
-(** [create p ~input] precomputes the evaluation strategy and tables.
-    [max_table_words] (default [2^22]) bounds the total size of all direct
-    tables; [max_memo_entries] (default [2^18]) bounds each sparse memo
-    (beyond it rows are recomputed instead of cached). Setting either to [0]
-    forces the next-cheaper strategy — the differential tests use this to
+(** [create p ~input] picks each node's tier, in node order, and lays out
+    the storage:
+
+    - {b table} while the running total of [card^in_degree * (out_degree + 1)]
+      words stays within [max_table_words] (default [2^22]). All table-tier
+      rows live in one flat int arena and their fill flags in one byte
+      arena, each node's at its own offsets. Both arenas are allocated
+      whole here, at the total size of the tables (at most
+      [max_table_words] words); a row is computed on its first visit.
+    - {b memo} otherwise, when [card^in_degree] fits an [int] and
+      [max_memo_entries] (default [2^18]) is positive. The node owns a
+      memo that starts with room for one row and doubles its slots and rows
+      as it meets new incoming codes, up to [max_memo_entries] rows; beyond
+      that rows are recomputed instead of cached.
+    - {b raw} otherwise: the reaction runs on shared scratch every time.
+
+    Per node the kernel keeps 4 words of tier bookkeeping and 2 words of
+    CSR incidence plus 2 per edge. A memo-tier node adds [13 + out_degree]
+    words for its first row and about [5 + out_degree] for each further
+    distinct incoming code (up to twice that just after a doubling); table-
+    and raw-tier nodes own no heap blocks. All nodes share one
+    incoming-label buffer per in-degree and one scratch row per width.
+    The whole-configuration buffers of {!step_into}, {!run_into} and
+    {!run_until_stable} are allocated on first use, so a kernel driven node
+    by node through {!eval_row} never holds them. Setting either bound to
+    [0] forces the next-cheaper tier — the differential tests use this to
     exercise every tier. *)
 val create :
   ?max_table_words:int ->
@@ -173,9 +196,10 @@ val node_output : ('x, 'l) t -> labels:int array -> i:int -> int
     edge labeling [src] through whichever tier [i] was compiled to, returning
     [(row, base)]: the code of [i]'s [k]-th out-edge (in
     [Digraph.out_edges] order) is [row.(base + k)] and the output is
-    [row.(base + out_degree i)]. The row is kernel-owned (a lookup table,
-    memo store, or shared scratch): it is valid only until the next call into
-    the kernel and must not be mutated. This is the single-node entry point
+    [row.(base + out_degree i)]. The row is kernel-owned (the table arena, a
+    memo store, or scratch shared by every node of the same width): it is
+    valid only until the next call into the kernel and must not be
+    mutated. This is the single-node entry point
     the event-driven simulator ({!Eventsim}) reacts through, so an
     asynchronous activation costs exactly what a kernel step charges per
     node. *)

@@ -22,7 +22,10 @@ type ('x, 'l) t = {
       (** [react i x_i incoming] receives the labels of [i]'s incoming edges,
           in the order of [Digraph.in_edges graph i], and returns the labels
           for [i]'s outgoing edges, in the order of
-          [Digraph.out_edges graph i], together with [i]'s output value. *)
+          [Digraph.out_edges graph i], together with [i]'s output value.
+          [incoming] is lent for the call only: {!Kernel} reuses one buffer
+          for every node of the same in-degree, so a reaction must not keep
+          it. *)
 }
 
 (** A configuration: one label per edge (indexed by edge id) plus the last

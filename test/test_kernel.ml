@@ -12,6 +12,12 @@ module Label = Stateless_core.Label
 module Fault = Stateless_core.Fault
 module Clique_example = Stateless_core.Clique_example
 module Proptest = Stateless_core.Proptest
+module Batch = Stateless_core.Batch
+module Builders = Stateless_graph.Builders
+module Digraph = Stateless_graph.Digraph
+module Simlab = Stateless_simlab.Simlab
+module Contagion = Stateless_games.Contagion
+module Best_response = Stateless_games.Best_response
 
 (* ------------------------------------------------------------------ *)
 (* Random protocol generator (shared, see lib/core/proptest.ml)        *)
@@ -174,6 +180,103 @@ let test_load_store_roundtrip () =
     (fun () -> Kernel.load k config ~labels:[| 0 |] ~outputs)
 
 (* ------------------------------------------------------------------ *)
+(* Reaction storage                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* K4 over five labels: node 0 has in-degree 3, so it can see 5^3 = 125
+   distinct incoming codes — many doublings past a memo's first row. *)
+let k4_mod5 () =
+  {
+    Protocol.name = "k4-mod5";
+    graph = Builders.clique 4;
+    space = Label.int 5;
+    react =
+      (fun i () inc ->
+        let a = inc.(0) and b = inc.(1) and c = inc.(2) in
+        ( Array.init 3 (fun k -> ((a * (k + 1)) + (2 * b) + (c * c) + i) mod 5),
+          (a * 25) + (b * 5) + c ));
+  }
+
+(* The configuration whose labels on node 0's in-edges spell [code]
+   (first in-edge most significant, as the kernel packs it); every other
+   edge carries a label that also varies with [code]. *)
+let config_of_code p code =
+  let ins = Digraph.in_edges p.Protocol.graph 0 in
+  let labels = Array.init (Protocol.num_edges p) (fun e -> (e + code) mod 5) in
+  let c = ref code in
+  for k = Array.length ins - 1 downto 0 do
+    labels.(ins.(k)) <- !c mod 5;
+    c := !c / 5
+  done;
+  { Protocol.labels; outputs = Array.make (Protocol.num_nodes p) 0 }
+
+(* A memo-tier node stepped through all 125 codes — in order, then again
+   in a scrambled order that revisits every code after all growth — must
+   agree row for row with the table tier and output for output with
+   {!Engine.step}, both with the default memo cap and with a cap of 3
+   (past which rows are recomputed into shared scratch). The batched
+   sweep grows the memo in the middle of one lock-step pass. *)
+let test_memo_growth_and_cap () =
+  let p = k4_mod5 () in
+  let input = Array.make 4 () in
+  let table = Kernel.create p ~input in
+  let row_of k config =
+    let labels = Array.make (Protocol.num_edges p) 0
+    and outputs = Array.make 4 0 in
+    Kernel.load k config ~labels ~outputs;
+    let row, base = Kernel.eval_row k ~src:labels ~i:0 in
+    Array.sub row base 4
+  in
+  let codes =
+    List.init 125 Fun.id @ List.init 125 (fun c -> c * 47 mod 125)
+  in
+  List.iter
+    (fun (name, k) ->
+      List.iter
+        (fun code ->
+          let config = config_of_code p code in
+          let expect = Engine.step p ~input config ~active:[ 0 ] in
+          let got = Kernel.step k config ~active:[ 0 ] in
+          if not (config_eq p expect got) then
+            Alcotest.failf "%s: step differs from Engine.step at code %d" name
+              code;
+          if row_of k config <> row_of table config then
+            Alcotest.failf "%s: row differs from the table tier at code %d"
+              name code)
+        codes;
+      let b = Batch.create k in
+      let configs = Array.init 125 (config_of_code p) in
+      Batch.load_block b configs;
+      Batch.step b ~active:[ 0 ];
+      Array.iteri
+        (fun j config ->
+          let expect = Engine.step p ~input config ~active:[ 0 ] in
+          if not (config_eq p expect (Batch.store b ~j)) then
+            Alcotest.failf "%s: batched step differs at code %d" name j)
+        configs)
+    [
+      ("memo", Kernel.create ~max_table_words:0 p ~input);
+      ( "memo cap 3",
+        Kernel.create ~max_table_words:0 ~max_memo_entries:3 p ~input );
+    ]
+
+(* Kernel storage follows use: with every node on the memo tier, what a
+   fresh kernel holds beyond its protocol (CSR incidence, tiers, memos,
+   shared scratch, the input array) stays a small constant per node. *)
+let test_memory_per_node () =
+  let nodes = 10_000 in
+  let g = Simlab.graph_of (Simlab.Erdos_renyi 4.0) ~seed:1 ~nodes in
+  let p = Best_response.protocol (Contagion.make g ~threshold:0.5) () in
+  let n = Protocol.num_nodes p in
+  let k = Kernel.create ~max_table_words:0 p ~input:(Array.make n ()) in
+  let words =
+    Obj.reachable_words (Obj.repr k) - Obj.reachable_words (Obj.repr p)
+  in
+  let per_node = float_of_int words /. float_of_int n in
+  if per_node > 64. then
+    Alcotest.failf "%.1f kernel words per node, above 64" per_node
+
+(* ------------------------------------------------------------------ *)
 (* Engine.trace regression                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -288,6 +391,12 @@ let () =
           Alcotest.test_case "settle" `Quick test_settle_differential;
           Alcotest.test_case "kernel reuse" `Quick test_kernel_reuse;
           Alcotest.test_case "load/store" `Quick test_load_store_roundtrip;
+        ] );
+      ( "storage",
+        [
+          Alcotest.test_case "memo growth and cap" `Quick
+            test_memo_growth_and_cap;
+          Alcotest.test_case "memory per node" `Quick test_memory_per_node;
         ] );
       ( "trace",
         [
